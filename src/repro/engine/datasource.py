@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import CatalogError, SchemaError
+from ..network.nodes import RowLookup
 from ..sql.database import Database, Table
 from .descriptors import Operation, UpdateDescriptor
 
@@ -74,6 +75,22 @@ class TableDataSource(DataSource):
                 yield table.schema.row_to_dict(row)
 
         return fetch
+
+    def eq_lookup(self) -> RowLookup:
+        """Equality-lookup callback for virtual alpha memories, beside
+        :meth:`fetcher`: ``rows_eq(columns, key)`` returns the rows whose
+        ``columns`` equal ``key`` through the table's lazy equality index,
+        or None when the index cannot answer (the caller scans)."""
+        table = self.table
+
+        def rows_eq(columns, key) -> Optional[List[Dict[str, Any]]]:
+            found = table.lookup_eq(columns, key)
+            if found is None:
+                return None
+            to_dict = table.schema.row_to_dict
+            return [to_dict(row) for _rid, row in found]
+
+        return rows_eq
 
     def install_capture(self, sink: Callable[[UpdateDescriptor], None]) -> None:
         """Attach the update-capture listener (the Informix-trigger stand-in)."""

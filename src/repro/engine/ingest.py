@@ -165,11 +165,7 @@ class IngestionMixin:
     def delete_rows(self, source_name: str, where: Dict[str, Any]) -> int:
         """Delete table rows matching the column-equality filter."""
         table = self.table(source_name)
-        victims = [
-            rid
-            for rid, row in table.scan()
-            if self._row_matches(table, row, where)
-        ]
+        victims = self._matching_rids(table, where)
         for rid in victims:
             table.delete(rid)
         return len(victims)
@@ -181,19 +177,28 @@ class IngestionMixin:
         changes: Dict[str, Any],
     ) -> int:
         table = self.table(source_name)
-        targets = [
-            rid
-            for rid, row in table.scan()
-            if self._row_matches(table, row, where)
-        ]
+        targets = self._matching_rids(table, where)
         for rid in targets:
             table.update(rid, changes)
         return len(targets)
 
     @staticmethod
-    def _row_matches(table, row, where: Dict[str, Any]) -> bool:
-        row_dict = table.schema.row_to_dict(row)
-        return all(row_dict.get(k) == v for k, v in where.items())
+    def _matching_rids(table, where: Dict[str, Any]) -> list:
+        """RIDs of the rows equal to ``where`` column by column, in heap
+        order.  The table's equality index supplies the candidates when it
+        can answer (every column known, every value non-NULL and hashable);
+        otherwise every row is a candidate.  Each candidate is re-checked,
+        so both paths return the same rows."""
+        columns = tuple(sorted(where))
+        candidates = table.lookup_eq(columns, [where[c] for c in columns])
+        if candidates is None:
+            candidates = table.scan()
+        out = []
+        for rid, row in candidates:
+            row_dict = table.schema.row_to_dict(row)
+            if all(row_dict.get(k) == v for k, v in where.items()):
+                out.append(rid)
+        return out
 
     def push(
         self,

@@ -362,13 +362,15 @@ def build_runtime_from_analysis(
             trigger_id, graph, evaluator, tvar_sources, registry
         )
     elif network_type == "atreat":
-        fetchers = {}
+        fetchers, lookups = {}, {}
         if use_virtual_alpha and len(tvar_sources) > 1:
             for tvar, source_name in tvar_sources.items():
-                fetch = registry.get(source_name).fetcher()
-                if fetch is not None:
+                source = registry.get(source_name)
+                fetch = source.fetcher()
+                if fetch is not None:  # table sources
                     fetchers[tvar] = fetch
-        network = ATreatNetwork(trigger_id, graph, evaluator, fetchers)
+                    lookups[tvar] = source.eq_lookup()
+        network = ATreatNetwork(trigger_id, graph, evaluator, fetchers, lookups)
     else:
         raise TriggerError(f"unknown network type {network_type!r}")
 

@@ -680,6 +680,12 @@ class TriggerManServer(ServerCore):
             self._quiescing = True
             connections = list(self._connections.values())
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so the accept join below is immediate.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

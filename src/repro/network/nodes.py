@@ -23,6 +23,10 @@ from ..lang import ast
 from ..lang.compiler import SIG_UNHASHABLE
 from ..lang.evaluator import Bindings, Evaluator
 
+#: ``rows_eq(columns, key)`` -> the rows whose ``columns`` equal ``key``, or
+#: None when the lookup cannot answer and the caller must scan
+RowLookup = Callable[..., Optional[List[Dict[str, Any]]]]
+
 
 class Node:
     """Base class: every node has a per-trigger-unique string id."""
@@ -141,10 +145,14 @@ class AlphaMemory(Node):
 
 
 class VirtualAlphaMemory(Node):
-    """A virtual alpha memory: rows are fetched from the base table through
-    ``fetch()`` each time a join needs them, filtered by the selection
-    predicate.  Saves memory for large, update-heavy tables at the price of
-    a query per join activation (the A-TREAT trade-off)."""
+    """A virtual alpha memory: rows are fetched from the base table each
+    time a join needs them, filtered by the selection predicate.  Saves
+    memory for large, update-heavy tables at the price of a query per join
+    activation (the A-TREAT trade-off).
+
+    ``fetch()`` returns every row (the scan); the optional ``lookup(columns,
+    key)`` returns only the rows whose ``columns`` equal ``key`` — the base
+    table's equality index — or None when it cannot answer."""
 
     def __init__(
         self,
@@ -153,15 +161,30 @@ class VirtualAlphaMemory(Node):
         fetch: Callable[[], Iterator[Dict[str, Any]]],
         selection: Optional[ast.Expr],
         evaluator: Evaluator,
+        lookup: Optional[RowLookup] = None,
     ):
         super().__init__(node_id)
         self.tvar = tvar
         self._fetch = fetch
         self._selection = selection
         self._evaluator = evaluator
+        self.lookup = lookup
 
     def rows(self) -> Iterator[Dict[str, Any]]:
-        for row in self._fetch():
+        return self._select(self._fetch())
+
+    def rows_eq(self, columns, key) -> Optional[Iterator[Dict[str, Any]]]:
+        """The selected rows whose ``columns`` equal ``key``, or None when
+        there is no lookup or it declines the key (the caller scans)."""
+        if self.lookup is None:
+            return None
+        found = self.lookup(columns, key)
+        if found is None:
+            return None
+        return self._select(found)
+
+    def _select(self, rows) -> Iterator[Dict[str, Any]]:
+        for row in rows:
             if self._selection is None:
                 yield row
             else:

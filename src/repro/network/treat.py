@@ -9,9 +9,11 @@ predicate as soon as both ends are bound, then the graph's catch-all clauses
 complete binding.
 
 Alpha memories over local database tables are *virtual* (A-TREAT's
-memory-saving device): join processing re-reads the base table through a
-fetch callback instead of materializing matching rows.  Stream sources get
-materialized memories maintained by the tokens themselves.
+memory-saving device): join processing queries the base table — by join
+key through the table's equality index when an equi-join edge names one,
+by a full fetch otherwise — instead of materializing matching rows.
+Stream sources get materialized memories maintained by the tokens
+themselves.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ..condition.cnf import cnf_to_expr
 from ..errors import NetworkError
 from ..lang.compiler import SIG_UNHASHABLE, equi_join_plan
 from ..lang.evaluator import Bindings, Evaluator
-from .nodes import AlphaMemory, Node, PNode, VirtualAlphaMemory
+from .nodes import AlphaMemory, Node, PNode, RowLookup, VirtualAlphaMemory
 
 RowFetcher = Callable[[], Iterator[Dict[str, Any]]]
 
@@ -37,9 +39,12 @@ class ATreatNetwork:
         graph: ConditionGraph,
         evaluator: Optional[Evaluator] = None,
         fetchers: Optional[Dict[str, RowFetcher]] = None,
+        lookups: Optional[Dict[str, RowLookup]] = None,
     ):
         """``fetchers`` maps tuple variables backed by local tables to
-        row-fetch callbacks; those get virtual alpha memories."""
+        row-fetch callbacks; those get virtual alpha memories.  ``lookups``
+        maps them to equality-lookup callbacks the join search probes
+        instead of fetching every row (see :class:`VirtualAlphaMemory`)."""
         self.trigger_id = trigger_id
         self.graph = graph
         self.evaluator = evaluator or Evaluator()
@@ -47,6 +52,7 @@ class ATreatNetwork:
         self.obs = None
         self.alpha: Dict[str, Node] = {}
         fetchers = fetchers or {}
+        lookups = lookups or {}
         for tvar in graph.tvars:
             node_id = f"alpha:{tvar}"
             if tvar in fetchers:
@@ -56,6 +62,7 @@ class ATreatNetwork:
                     fetchers[tvar],
                     graph.selection_expr(tvar),
                     self.evaluator,
+                    lookups.get(tvar),
                 )
             else:
                 self.alpha[tvar] = AlphaMemory(node_id, tvar)
@@ -63,21 +70,20 @@ class ATreatNetwork:
         self._nodes: Dict[str, Node] = {a.node_id: a for a in self.alpha.values()}
         self._nodes[self.pnode.node_id] = self.pnode
         self._catch_all = cnf_to_expr(list(graph.catch_all))
-        # Pre-compute a join order (BFS) from each possible seed.
-        self._orders: Dict[str, List[str]] = {
-            tvar: self._join_order(tvar) for tvar in graph.tvars
-        }
         # Algebraic-signature join plans (§5.4 memory-node probe cost): for
         # every edge with equality conjuncts, bucket each materialized end
         # by its join-key signature so the join search probes one bucket
-        # instead of scanning the whole memory.  The signature is a
-        # pre-filter only — every candidate still evaluates the full edge
-        # predicate below, so collisions and non-equality conjuncts stay
-        # correct.
+        # instead of scanning the whole memory; virtual ends probe their
+        # base table's equality index with the bound row's key instead.
+        # Either way the result is a pre-filter only — every candidate
+        # still evaluates the full edge predicate below, so collisions and
+        # non-equality conjuncts stay correct.
         self._join_plans: Dict[tuple, Any] = {}
         self.join_stats: Dict[str, int] = {
             "probes": 0,
             "hash_probes": 0,
+            "virtual_hash_probes": 0,
+            "virtual_scans": 0,
             "candidates": 0,
         }
         seen_edges = set()
@@ -100,6 +106,11 @@ class ATreatNetwork:
                                 t, row
                             ),
                         )
+        #: per seed, one join step per later position of its BFS order:
+        #: (tuple variable bound there, edge predicates each candidate must
+        #: pass, equi-join probes that can narrow the candidates) — planned
+        #: on the seed's first activation, not at build
+        self._steps: Dict[str, List[tuple]] = {}
 
     @staticmethod
     def _edge_index(edge: tuple) -> str:
@@ -138,6 +149,35 @@ class ATreatNetwork:
             if tvar not in seen:
                 order.append(tvar)
         return order
+
+    def _join_steps(self, seed: str) -> List[tuple]:
+        steps = self._steps.get(seed)
+        if steps is not None:
+            return steps
+        order = self._join_order(seed)
+        steps = []
+        for position in range(1, len(order)):
+            tvar = order[position]
+            bound = set(order[:position])
+            tests, probes = [], []
+            for other in self.graph.neighbors(tvar):
+                if other not in bound:
+                    continue
+                join_expr = self.graph.join_expr(tvar, other)
+                if join_expr is not None:
+                    tests.append(join_expr)
+                edge = tuple(sorted((tvar, other)))
+                plan = self._join_plans.get(edge)
+                if plan is None:
+                    continue
+                if tvar == plan.left_tvar:
+                    mine, theirs = plan.left_columns, plan.right_columns
+                else:
+                    mine, theirs = plan.right_columns, plan.left_columns
+                probes.append((other, self._edge_index(edge), plan, mine, theirs))
+            steps.append((tvar, tests, probes))
+        self._steps[seed] = steps
+        return steps
 
     # -- memory maintenance and token propagation -----------------------------
 
@@ -226,61 +266,66 @@ class ATreatNetwork:
         return self._join_search(tvar, seed_bindings)
 
     def _join_search(self, seed: str, seed_bindings: Bindings) -> List[Bindings]:
-        order = self._orders[seed]
+        steps = self._join_steps(seed)
         results: List[Bindings] = []
+        stats = self.join_stats
+        matches = self.evaluator.matches
 
         def extend(position: int, bindings: Bindings) -> None:
-            if position == len(order):
-                if self._catch_all is None or self.evaluator.matches(
-                    self._catch_all, bindings
-                ):
+            if position == len(steps):
+                if self._catch_all is None or matches(self._catch_all, bindings):
                     results.append(bindings)
                 return
-            tvar = order[position]
-            bound = set(order[:position])
-            edges = [
-                (other, self.graph.join_expr(tvar, other))
-                for other in self.graph.neighbors(tvar)
-                if other in bound
-            ]
-            stats = self.join_stats
+            tvar, tests, probes = steps[position]
             stats["probes"] += 1
-            # Prefer a signature-bucket probe over a memory scan: any edge
-            # to an already-bound variable with an equi-join plan narrows
-            # the candidates to the bound row's signature bucket.
-            rows_iter = None
-            memory = self.alpha[tvar]
-            if isinstance(memory, AlphaMemory):
-                for other, _expr in edges:
-                    edge = tuple(sorted((tvar, other)))
-                    plan = self._join_plans.get(edge)
-                    if plan is None:
-                        continue
-                    sig = plan.signature_for(other, bindings.rows[other])
-                    if sig is SIG_UNHASHABLE:
-                        continue
-                    bucket = memory.rows_for(self._edge_index(edge), sig)
-                    if bucket is not None:
-                        stats["hash_probes"] += 1
-                        rows_iter = bucket
-                        break
-            if rows_iter is None:
-                rows_iter = memory.rows()
-            for row in rows_iter:
+            for row in self._candidates(tvar, probes, bindings):
                 stats["candidates"] += 1
                 candidate = bindings.bind(tvar, row)
-                ok = True
-                for _other, join_expr in edges:
-                    if join_expr is not None and not self.evaluator.matches(
-                        join_expr, candidate
-                    ):
-                        ok = False
+                for join_expr in tests:
+                    if not matches(join_expr, candidate):
                         break
-                if ok:
+                else:
                     extend(position + 1, candidate)
 
-        extend(1, seed_bindings)
+        extend(0, seed_bindings)
         return results
+
+    def _candidates(
+        self, tvar: str, probes: List[tuple], bindings: Bindings
+    ) -> Iterator[Dict[str, Any]]:
+        """The rows of ``tvar``'s memory one join step tests.  The first
+        equi-join edge to an already-bound variable that can name a key
+        narrows them to that key's signature bucket (materialized memory)
+        or equality-index hits (virtual memory); otherwise every row."""
+        memory = self.alpha[tvar]
+        stats = self.join_stats
+        if isinstance(memory, AlphaMemory):
+            for other, index_name, plan, _mine, _theirs in probes:
+                sig = plan.signature_for(other, bindings.rows[other])
+                if sig is SIG_UNHASHABLE:
+                    continue
+                bucket = memory.rows_for(index_name, sig)
+                if bucket is not None:
+                    stats["hash_probes"] += 1
+                    return bucket
+            return memory.rows()
+        if memory.lookup is not None:
+            for other, _name, _plan, mine, theirs in probes:
+                bound_row = bindings.rows[other]
+                if not all(column in bound_row for column in theirs):
+                    continue
+                key = tuple(bound_row[column] for column in theirs)
+                if any(part is None for part in key):
+                    # A NULL join key makes the equality UNKNOWN for every
+                    # row: no candidates.
+                    stats["virtual_hash_probes"] += 1
+                    return iter(())
+                rows = memory.rows_eq(mine, key)
+                if rows is not None:
+                    stats["virtual_hash_probes"] += 1
+                    return rows
+        stats["virtual_scans"] += 1
+        return memory.rows()
 
     def retract(self, tvar: str, row: Dict[str, Any]) -> None:
         """Memory maintenance without firing: remove ``row`` from the tuple
@@ -302,6 +347,25 @@ class ATreatNetwork:
         ]
 
     # -- introspection -------------------------------------------------------------
+
+    def probe_paths(self) -> Dict[str, str]:
+        """How the join search reaches each alpha memory: ``hashed on
+        (cols)`` when an equi-join edge probes it by key (signature buckets
+        or the base table's equality index), else ``scan``."""
+        keys: Dict[str, List[str]] = {tvar: [] for tvar in self.alpha}
+        for seed in self.graph.tvars:
+            for tvar, _tests, probes in self._join_steps(seed):
+                memory = self.alpha[tvar]
+                if isinstance(memory, VirtualAlphaMemory) and memory.lookup is None:
+                    continue
+                for probe in probes:
+                    text = f"({', '.join(probe[3])})"
+                    if text not in keys[tvar]:
+                        keys[tvar].append(text)
+        return {
+            tvar: f"hashed on {' or '.join(texts)}" if texts else "scan"
+            for tvar, texts in keys.items()
+        }
 
     def memory_sizes(self) -> Dict[str, Optional[int]]:
         """Materialized memory sizes (None for virtual memories)."""

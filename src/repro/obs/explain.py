@@ -83,6 +83,10 @@ def explain_trigger(tman, name: str) -> str:
             f"{runtime.estimated_size():,} bytes when resident; "
             f"catalog form: {catalog_form}"
         )
+        network = runtime.network
+        joins = len(runtime.tvars) > 1 and hasattr(network, "probe_paths")
+        paths = network.probe_paths() if joins else {}
+        sizes = network.memory_sizes() if joins else {}
         out.append("  tuple variables:")
         for tvar in runtime.tvars:
             source = runtime.tvar_sources[tvar]
@@ -91,11 +95,17 @@ def explain_trigger(tman, name: str) -> str:
             selection_text = (
                 selection.render() if selection is not None else "TRUE"
             )
-            entry_node = runtime.network.entry_node_id(tvar)
+            entry_node = network.entry_node_id(tvar)
             out.append(
                 f"    {tvar} -> {source} [{operation}] "
                 f"when {selection_text}  (entry: {entry_node})"
             )
+            if tvar in paths:
+                kind = (
+                    "virtual" if sizes[tvar] is None
+                    else f"materialized, {sizes[tvar]} row(s)"
+                )
+                out.append(f"      alpha memory: {kind}; {paths[tvar]}")
         edges = [
             f"    {' ⋈ '.join(sorted(pair))}: "
             f"{runtime.graph.join_expr(*sorted(pair)).render()}"
@@ -106,6 +116,15 @@ def explain_trigger(tman, name: str) -> str:
             out.extend(sorted(edges))
         if runtime.graph.catch_all:
             out.append(f"  catch-all clauses: {len(runtime.graph.catch_all)}")
+        if joins:
+            stats = network.join_stats
+            out.append(
+                f"  join search: {stats['probes']} probe(s) — "
+                f"{stats['hash_probes']} signature bucket, "
+                f"{stats['virtual_hash_probes']} equality index, "
+                f"{stats['virtual_scans']} virtual scan; "
+                f"{stats['candidates']} candidate row(s)"
+            )
 
         out.append("  predicate analysis (§5.1 step 5):")
         for tvar, analyzed in analyze_trigger(runtime):

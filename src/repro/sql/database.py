@@ -55,6 +55,14 @@ class Table:
         self.schema = schema
         self.heap = heap
         self.indexes: Dict[str, IndexInfo] = {}
+        #: Equality indexes behind :meth:`lookup_eq`: column tuple ->
+        #: (key positions, HashIndex of RIDs), or None once a stored key
+        #: turned out unhashable.  Built from the heap on the first lookup of
+        #: a column tuple, maintained with the catalog indexes from then on;
+        #: never in the catalog, so every open starts without them.
+        self._eq_indexes: Dict[
+            Tuple[str, ...], Optional[Tuple[List[int], HashIndex]]
+        ] = {}
         #: Update-capture listeners (the stand-in for the paper's per-table
         #: Informix capture triggers, §3).  Each is called as
         #: ``listener(op, old_row_dict, new_row_dict)`` after the mutation.
@@ -91,6 +99,16 @@ class Table:
                 info.structure.insert(key, (rid, row))
             else:
                 info.structure.insert(key, rid)
+        for columns, eq in self._eq_indexes.items():
+            if eq is None:
+                continue
+            key = tuple(row[p] for p in eq[0])
+            if any(part is None for part in key):
+                continue
+            try:
+                eq[1].insert(key, rid)
+            except TypeError:  # unhashable: this column tuple scans from now on
+                self._eq_indexes[columns] = None
 
     def _index_delete(self, row: Tuple[Any, ...], rid: RID) -> None:
         for info in self.indexes.values():
@@ -103,6 +121,9 @@ class Table:
                 info.structure.delete(key, (rid, row))
             else:
                 info.structure.delete(key, rid)
+        for eq in self._eq_indexes.values():
+            if eq is not None:
+                eq[1].delete(tuple(row[p] for p in eq[0]), rid)
 
     # -- row operations -----------------------------------------------------------
 
@@ -165,6 +186,7 @@ class Table:
     def truncate(self) -> None:
         with self._db.lock:
             self.heap.truncate()
+            self._eq_indexes.clear()
             for info in self.indexes.values():
                 if info.using == "hash":
                     info.structure.clear()
@@ -191,6 +213,42 @@ class Table:
             if info.clustered:
                 return [(rid, row) for rid, row in info.structure.search(key)]
             return [(rid, self.heap.read(rid)) for rid in info.structure.search(key)]
+
+    def lookup_eq(
+        self, columns: Sequence[str], key: Sequence[Any]
+    ) -> Optional[List[Tuple[RID, Tuple[Any, ...]]]]:
+        """``(rid, row)`` pairs whose ``columns`` equal ``key`` under Python
+        equality, in heap-scan order, through an in-memory equality index
+        built on the first lookup of ``columns``.
+
+        Returns None — scan instead — when a column is unknown, a key part
+        is NULL or unhashable, or a stored key was unhashable.  The index
+        holds RIDs only; rows are read from the heap per lookup.
+        """
+        columns = tuple(columns)
+        if not columns or not all(self.schema.has_column(c) for c in columns):
+            return None
+        if any(part is None for part in key):
+            return None
+        with self._db.lock:
+            if columns in self._eq_indexes:
+                eq = self._eq_indexes[columns]
+            else:
+                index = HashIndex(columns)
+                try:
+                    index.rebuild(self.heap)
+                    eq = ([self.schema.position(c) for c in columns], index)
+                except TypeError:
+                    eq = None
+                self._eq_indexes[columns] = eq
+            if eq is None:
+                return None
+            try:
+                rids = eq[1].search(tuple(key))
+            except TypeError:
+                return None
+            rids.sort()
+            return [(rid, self.heap.read(rid)) for rid in rids]
 
     def index_range(
         self,
