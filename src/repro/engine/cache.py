@@ -4,9 +4,10 @@
 This contains complete descriptions of a set of recently accessed triggers,
 including the trigger ID and name, references to data sources relevant to
 the trigger, and the syntax tree and Gator network skeleton for the
-trigger."  Matching a token *pins* the trigger — loading it from the
-disk-based catalog if absent — for the duration of network processing and
-action execution, buffer-pool style.
+trigger."  Here the network is always A-TREAT: E8b measured Gator slower
+and larger, so the engine never builds one.  Matching a token *pins* the
+trigger — loading it from the disk-based catalog if absent — for the
+duration of network processing and action execution, buffer-pool style.
 
 The cache is capacity-bounded both by trigger count and by estimated bytes
 (the paper's sizing example: 4 KB per description, 64 MB of cache →

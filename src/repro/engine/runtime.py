@@ -62,7 +62,6 @@ class RuntimeManager:
         cache,
         evaluator,
         limits,
-        network_type: str,
         obs,
         decompose: bool = True,
     ):
@@ -73,7 +72,6 @@ class RuntimeManager:
         self.cache = cache
         self.evaluator = evaluator
         self.limits = limits
-        self.network_type = network_type
         self.obs = obs
         #: tagged-execution disjunct decomposition on trigger install
         self.decompose = decompose
@@ -110,10 +108,6 @@ class RuntimeManager:
     ) -> int:
         if self.catalog.has_trigger(statement.name):
             raise TriggerError(f"trigger {statement.name!r} already exists")
-        if self.network_type not in ("atreat", "gator"):
-            # The lazy path defers network construction to first pin;
-            # reject a bad network type at definition time regardless.
-            raise TriggerError(f"unknown network type {self.network_type!r}")
         set_name = statement.set_name or DEFAULT_TRIGGER_SET
         ts_id = self.catalog.trigger_set_id(set_name)  # validates
         trigger_id = self.catalog.next_trigger_id()
@@ -136,17 +130,12 @@ class RuntimeManager:
         self.enabled[trigger_id] = enabled
 
         if not self._lazy_eligible(analysis):
-            # Step 4 eagerly: multi-variable triggers own materialized
-            # memories (priming, permanent pins) that must exist up front.
+            # Step 4 eagerly: a multi-variable trigger's stream-fed alpha
+            # memories must exist (and be pinned) before its first token.
             runtime = build_runtime_from_analysis(
-                trigger_id,
-                analysis,
-                self.registry,
-                self.evaluator,
-                network_type=self.network_type,
+                trigger_id, analysis, self.registry, self.evaluator
             )
             self.put_runtime(runtime)
-            self._prime(runtime)
         # Step 5 LAST: per-tuple-variable signature registration + constant
         # sets.  Publishing into the index is the commit point for
         # concurrent matching — everything a match needs (catalog row,
@@ -158,8 +147,8 @@ class RuntimeManager:
 
     def _lazy_eligible(self, analysis: TriggerAnalysis) -> bool:
         """Single-variable triggers defer network construction to first
-        pin: their index entry node is the P-node in both network types
-        and they own no materialized memories to prime or pin."""
+        pin: their index entry node is the P-node and they own no
+        materialized memories to pin."""
         return len(analysis.tvar_sources) == 1
 
     def _describe(
@@ -215,8 +204,8 @@ class RuntimeManager:
                 trigger_id=trigger_id,
                 tvar=tvar,
                 # Single-variable networks route matched tokens straight to
-                # the P-node in both network types; multi-variable entry
-                # nodes are per-tvar alpha nodes with a stable naming scheme.
+                # the P-node; multi-variable entry nodes are per-tvar alpha
+                # nodes with a stable naming scheme.
                 next_node=("pnode" if single else f"alpha:{tvar}"),
                 residual_text=None,
                 signature=signature,
@@ -298,33 +287,19 @@ class RuntimeManager:
         """Install a freshly built runtime without a loader round-trip."""
         self.cache.seed(runtime.trigger_id, runtime)
         with self.ddl_lock:
-            for tvar in runtime.network.materialized_tvars():
+            materialized = runtime.network.materialized_tvars()
+            for tvar in materialized:
                 source = runtime.tvar_sources[tvar]
                 entry = (runtime.trigger_id, tvar)
                 bucket = self.materialized.setdefault(source, [])
                 if entry not in bucket:
                     bucket.append(entry)
-            if self._needs_permanent_pin(runtime):
-                # Stream-fed materialized memories cannot be rebuilt from a
-                # base table, so such triggers stay pinned for their
-                # lifetime.
+            if materialized:
+                # Only stream-fed memories materialize, and their rows
+                # exist nowhere else: a cache reload cannot rebuild them,
+                # so such triggers stay pinned for their lifetime.
                 self.cache.pin(runtime.trigger_id)
                 self.permanent_pins.add(runtime.trigger_id)
-
-    def _needs_permanent_pin(self, runtime: TriggerRuntime) -> bool:
-        """Materialized memories over *stream* sources hold state that a
-        cache reload cannot reconstruct (table-backed memories are re-primed
-        by the loader)."""
-        for tvar in runtime.network.materialized_tvars():
-            source = self.registry.get(runtime.tvar_sources[tvar])
-            if source.fetcher() is None:
-                return True
-        return False
-
-    def _prime(self, runtime: TriggerRuntime) -> None:
-        """§5.1: 'prime' the trigger.  Virtual alpha memories need nothing;
-        materialized memories over table sources (when virtual is disabled)
-        would be loaded here.  Stream memories start empty."""
 
     def load_runtime(self, trigger_id: int) -> TriggerRuntime:
         """Cache loader: rebuild a runtime from its catalogued form —
@@ -342,11 +317,7 @@ class RuntimeManager:
             statement, text, self.registry, set_name=set_name
         )
         return build_runtime_from_analysis(
-            trigger_id,
-            analysis,
-            self.registry,
-            self.evaluator,
-            network_type=self.network_type,
+            trigger_id, analysis, self.registry, self.evaluator
         )
 
     def _hydrate_statement(
@@ -479,11 +450,7 @@ class RuntimeManager:
             self.enabled[trigger_id] = self.catalog.trigger_enabled(trigger_id)
             if not self._lazy_eligible(analysis):
                 runtime = build_runtime_from_analysis(
-                    trigger_id,
-                    analysis,
-                    self.registry,
-                    self.evaluator,
-                    network_type=self.network_type,
+                    trigger_id, analysis, self.registry, self.evaluator
                 )
                 self.put_runtime(runtime)
 

@@ -343,36 +343,22 @@ def build_runtime_from_analysis(
     analysis: TriggerAnalysis,
     registry: DataSourceRegistry,
     evaluator: Optional[Evaluator] = None,
-    use_virtual_alpha: bool = True,
-    network_type: str = "atreat",
 ) -> TriggerRuntime:
-    """§5.1 step 4: build the discrimination network over a finished
-    analysis and assemble the runtime.
-
-    ``network_type`` selects the discrimination network: ``"atreat"`` (the
-    paper's current implementation; virtual alpha memories over table
-    sources) or ``"gator"`` (the planned optimization; materialized alpha
-    and beta memories, primed from table sources at build time).
-    """
+    """§5.1 step 4: build the A-TREAT network over a finished analysis and
+    assemble the runtime.  A multi-variable trigger's table-backed tuple
+    variables get virtual alpha memories; stream-fed ones materialize."""
     evaluator = evaluator or Evaluator()
     graph = analysis.graph
     tvar_sources = analysis.tvar_sources
-    if network_type == "gator":
-        network = _build_gator(
-            trigger_id, graph, evaluator, tvar_sources, registry
-        )
-    elif network_type == "atreat":
-        fetchers, lookups = {}, {}
-        if use_virtual_alpha and len(tvar_sources) > 1:
-            for tvar, source_name in tvar_sources.items():
-                source = registry.get(source_name)
-                fetch = source.fetcher()
-                if fetch is not None:  # table sources
-                    fetchers[tvar] = fetch
-                    lookups[tvar] = source.eq_lookup()
-        network = ATreatNetwork(trigger_id, graph, evaluator, fetchers, lookups)
-    else:
-        raise TriggerError(f"unknown network type {network_type!r}")
+    fetchers, lookups = {}, {}
+    if len(tvar_sources) > 1:
+        for tvar, source_name in tvar_sources.items():
+            source = registry.get(source_name)
+            fetch = source.fetcher()
+            if fetch is not None:  # table sources
+                fetchers[tvar] = fetch
+                lookups[tvar] = source.eq_lookup()
+    network = ATreatNetwork(trigger_id, graph, evaluator, fetchers, lookups)
 
     return TriggerRuntime(
         trigger_id=trigger_id,
@@ -401,44 +387,11 @@ def build_runtime(
     registry: DataSourceRegistry,
     evaluator: Optional[Evaluator] = None,
     set_name: str = "default",
-    use_virtual_alpha: bool = True,
-    network_type: str = "atreat",
 ) -> TriggerRuntime:
     """§5.1 steps 1–4 in one call (the eager path): validate, analyze the
     condition, build the network."""
     analysis = analyze_statement(statement, text, registry, set_name)
-    return build_runtime_from_analysis(
-        trigger_id,
-        analysis,
-        registry,
-        evaluator,
-        use_virtual_alpha=use_virtual_alpha,
-        network_type=network_type,
-    )
-
-
-def _build_gator(trigger_id, graph, evaluator, tvar_sources, registry):
-    """Build a Gator network and prime its materialized alpha memories from
-    table sources (§5.1's 'prime the trigger to make it ready to run')."""
-    from ..network.gator import GatorNetwork
-
-    network = GatorNetwork(trigger_id, graph, evaluator)
-    if len(graph.tvars) > 1:
-        for tvar, source_name in tvar_sources.items():
-            fetch = registry.get(source_name).fetcher()
-            if fetch is None:
-                continue  # stream sources start empty
-            selection = graph.selection_expr(tvar)
-            rows = (
-                row
-                for row in fetch()
-                if selection is None
-                or evaluator.matches(
-                    selection, Bindings(rows={tvar: row})
-                )
-            )
-            network.prime(tvar, rows)
-    return network
+    return build_runtime_from_analysis(trigger_id, analysis, registry, evaluator)
 
 
 def analyze_trigger(runtime) -> List[Tuple[str, AnalyzedPredicate]]:

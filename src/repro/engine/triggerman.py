@@ -79,7 +79,6 @@ class TriggerMan(IngestionMixin):
         durable_queue: bool = True,
         sync_on_enqueue: bool = False,
         evaluator: Optional[Evaluator] = None,
-        network_type: str = "atreat",
         obs: Optional[Observability] = None,
         observability: bool = False,
         batch_size: int = 1,
@@ -107,7 +106,6 @@ class TriggerMan(IngestionMixin):
         }
         self.evaluator = evaluator or Evaluator()
         self.limits = limits
-        self.network_type = network_type
         self.obs = obs if obs is not None else Observability(
             enable_metrics=observability
         )
@@ -182,7 +180,6 @@ class TriggerMan(IngestionMixin):
             self.cache,
             self.evaluator,
             self.limits,
-            self.network_type,
             self.obs,
             decompose=decompose_disjuncts,
         )

@@ -1,7 +1,8 @@
-"""Discrimination networks for trigger condition testing (A-TREAT, with a
-Gator-style extension in :mod:`repro.network.gator`)."""
+"""The A-TREAT discrimination network for trigger condition testing.
 
-from .gator import BetaMemory, GatorNetwork
+:mod:`repro.network.gator` holds the paper's planned Gator network as a
+stand-alone reference for experiment E8b; the engine does not use it."""
+
 from .nodes import AlphaMemory, Node, PNode, VirtualAlphaMemory
 from .treat import ATreatNetwork
 
@@ -11,6 +12,4 @@ __all__ = [
     "PNode",
     "VirtualAlphaMemory",
     "ATreatNetwork",
-    "BetaMemory",
-    "GatorNetwork",
 ]

@@ -24,9 +24,12 @@ Token arrival at position p:
   betas; emissions use the pre-removal state (same ECA semantics as the
   A-TREAT implementation).
 
-The trade-off this makes measurable (benchmark E8b): tokens process faster
-on deep joins, at the price of beta-memory space and maintenance — exactly
-the TREAT-vs-Rete tension Gator optimizes over [Hans97b].
+The trade-off this makes measurable (benchmark E8b): stored partials save
+join work per token, at the price of beta-memory space and maintenance —
+the TREAT-vs-Rete tension Gator optimizes over [Hans97b].  Since A-TREAT
+probes join-key buckets and table equality indexes, E8b measures A-TREAT
+faster *and* smaller, so the engine builds only A-TREAT networks; this
+module is the stand-alone reference that E8b measures against.
 """
 
 from __future__ import annotations
@@ -81,8 +84,6 @@ class GatorNetwork:
         self.trigger_id = trigger_id
         self.graph = graph
         self.evaluator = evaluator or Evaluator()
-        #: optional Observability bundle (set by the engine while tracing)
-        self.obs = None
         if join_order is not None:
             if sorted(join_order) != sorted(graph.tvars):
                 raise NetworkError(
@@ -189,34 +190,7 @@ class GatorNetwork:
         new_row: Optional[Row],
         old_row: Optional[Row] = None,
     ) -> List[Bindings]:
-        obs = self.obs
-        if obs is not None and obs.trace.enabled and obs.trace.current_id():
-            tracer = obs.trace
-            start = tracer.clock()
-            complete = self._activate(tvar, operation, new_row, old_row)
-            tracer.record(
-                f"network.{self.entry_node_id(tvar)}",
-                start,
-                tracer.clock(),
-                {
-                    "network": "gator",
-                    "trigger": self.trigger_id,
-                    "tvar": tvar,
-                    "operation": operation,
-                    "emitted": len(complete),
-                    "memory_entries": self.total_memory_entries(),
-                },
-            )
-            return complete
-        return self._activate(tvar, operation, new_row, old_row)
-
-    def _activate(
-        self,
-        tvar: str,
-        operation: str,
-        new_row: Optional[Row],
-        old_row: Optional[Row] = None,
-    ) -> List[Bindings]:
+        """Deliver a token for ``tvar``; returns the complete bindings."""
         if operation == "insert":
             row = new_row
         elif operation == "delete":
@@ -312,12 +286,6 @@ class GatorNetwork:
         """Memory maintenance without firing (see ATreatNetwork.retract)."""
         if len(self.order) > 1:
             self._retract(tvar, row)
-
-    def materialized_tvars(self) -> List[str]:
-        """Every tuple variable (Gator memories are always materialized)."""
-        if len(self.order) <= 1:
-            return []
-        return list(self.order)
 
     # -- introspection ------------------------------------------------------------
 

@@ -84,7 +84,7 @@ def explain_trigger(tman, name: str) -> str:
             f"catalog form: {catalog_form}"
         )
         network = runtime.network
-        joins = len(runtime.tvars) > 1 and hasattr(network, "probe_paths")
+        joins = len(runtime.tvars) > 1
         paths = network.probe_paths() if joins else {}
         sizes = network.memory_sizes() if joins else {}
         out.append("  tuple variables:")

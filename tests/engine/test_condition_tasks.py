@@ -87,23 +87,22 @@ def test_no_groups_no_tasks(tman_emp):
 
 
 def test_maintenance_runs_once_after_all_subsets():
-    """Gator memories must be maintained exactly once per token even when
-    condition testing is partitioned."""
-    tman = TriggerMan.in_memory(network_type="gator")
-    tman.define_table("a", [("k", "integer")])
-    tman.define_table("b", [("k", "integer")])
-    tman.insert("b", {"k": 1})
-    tman.process_all()
+    """Stream-fed (materialized) A-TREAT memories must be maintained once
+    per token even when condition testing is partitioned."""
+    tman = TriggerMan.in_memory()
+    tman.define_stream("a", [("k", "integer")])
+    tman.define_stream("b", [("k", "integer")])
     tman.create_trigger(
         "create trigger j from a, b when a.k = b.k do raise event J(a.k)"
     )
+    tman.push("b", Operation.INSERT, new={"k": 1})
+    tman.process_all()
     # delete b's row via a partitioned token; memory must be retracted
-    old = {"k": 1}
-    tman.table("b").delete(next(rid for rid, _ in tman.table("b").scan()))
+    tman.push("b", Operation.DELETE, old={"k": 1})
     descriptor = tman.queue.dequeue()
     assert descriptor.operation == Operation.DELETE
     tman.enqueue_condition_tasks(descriptor, 4)
     tman._run_pending_tasks()
-    tman.insert("a", {"k": 1})
+    tman.push("a", Operation.INSERT, new={"k": 1})
     tman.process_all()
     assert not [n for n in tman.events.history if n.event_name == "J"]

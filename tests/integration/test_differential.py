@@ -59,11 +59,10 @@ def random_token(rng):
     }
 
 
-def run_differential(seed, n_triggers, n_tokens, limits=None, network="atreat"):
+def run_differential(seed, n_triggers, n_tokens, limits=None):
     rng = random.Random(seed)
     tman = TriggerMan.in_memory(
-        limits=limits or Limits(), network_type=network,
-        cache_capacity=max(2, n_triggers // 3),
+        limits=limits or Limits(), cache_capacity=max(2, n_triggers // 3),
     )
     tman.define_table(
         "emp",
@@ -108,8 +107,3 @@ def test_differential_small_limits_forces_db_tables(seed):
     run_differential(
         seed, n_triggers=80, n_tokens=30, limits=Limits(list_max=2, memory_max=5)
     )
-
-
-@pytest.mark.parametrize("seed", [7, 8])
-def test_differential_gator(seed):
-    run_differential(seed, n_triggers=40, n_tokens=30, network="gator")
